@@ -54,10 +54,9 @@ def regime_metrics(
 ) -> RegimeMetrics:
     """Reduce one regime's dataset to its comparison row.
 
-    Works on any :class:`StudyDataset` — the object-backed and columnar
-    backends both iterate to :class:`BlockObservation` rows, and the
-    ePBS counters come from the consensus-side ledger the collector
-    attaches only when the regime stakes builders.
+    Iterates the dataset's :class:`BlockObservation` rows; the ePBS
+    counters come from the consensus-side ledger the collector attaches
+    only when the regime stakes builders.
     """
     producer_blocks: dict[str, float] = {}
     promised_wei = 0
@@ -113,19 +112,13 @@ def compare_regimes(
 
     Every run goes through the sharded executor (which degrades to the
     single-segment path when the config is unsegmented), so the rows are
-    digest-deterministic at any ``shard_workers``.  Both ``regime`` and
-    its legacy ``use_enshrined_pbs`` alias are overridden together —
-    overriding only one of them on an already-normalised base silently
-    re-normalises back.
+    digest-deterministic at any ``shard_workers``.
     """
     from ..perf.sharding import run_sharded
 
     rows: list[RegimeMetrics] = []
     for regime in regimes:
-        config = base_config.with_overrides(
-            regime=regime, use_enshrined_pbs=(regime == "epbs")
-        )
-        run = run_sharded(config)
+        run = run_sharded(base_config.with_overrides(regime=regime))
         rows.append(regime_metrics(regime, run.dataset))
     return rows
 

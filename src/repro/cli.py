@@ -57,26 +57,20 @@ def _add_world_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--regime", choices=("mev_boost", "epbs", "local"),
-        default=None, dest="regime",
+        default="mev_boost",
         help="block-production regime: out-of-protocol MEV-Boost relays "
              "(default), enshrined PBS with staked builders, or local "
              "building only",
     )
-    parser.add_argument(
-        "--epbs", action="store_true",
-        help="legacy alias for --regime epbs",
-    )
 
 
 def _world_config(args: argparse.Namespace) -> SimulationConfig:
-    regime = args.regime or ("epbs" if args.epbs else "mev_boost")
     return SimulationConfig(
         seed=args.seed,
         num_days=args.days,
         blocks_per_day=args.blocks_per_day,
         num_validators=args.validators,
-        regime=regime,
-        use_enshrined_pbs=(regime == "epbs"),
+        regime=args.regime,
     )
 
 
@@ -282,7 +276,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     from pathlib import Path
 
-    from .datasets.collector import StudyDataset
     from .perf.artifacts import load_study_artifact, save_study_artifact
     from .serve.http import run_server
 
@@ -291,20 +284,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_days=args.days,
         blocks_per_day=args.blocks_per_day,
         num_validators=args.validators,
-        dataset_backend=args.backend,
     )
     cache_dir = Path(args.artifact_dir) if args.artifact_dir else None
     dataset = None
     if not args.no_artifact_cache:
         dataset = load_study_artifact(config, cache_dir)
-        if isinstance(dataset, StudyDataset):
+        if dataset is not None:
             print(
                 f"loaded artifact for config {config.num_days}d x "
                 f"{config.blocks_per_day} blocks/day (mmap warm load)",
                 file=sys.stderr,
             )
-        else:
-            dataset = None
     if dataset is None:
         print(
             f"simulating {config.num_days} days x {config.blocks_per_day} "
@@ -426,10 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--validators", type=int, default=1200, help="validator count"
-    )
-    serve.add_argument(
-        "--backend", choices=("columnar", "object"), default="columnar",
-        help="dataset backend to collect/serve",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(

@@ -37,6 +37,7 @@ comparison ``analysis/regimes.py`` draws.
 from __future__ import annotations
 
 import hashlib
+from contextlib import nullcontext
 
 from ..beacon.builders import (
     SLASH_REASON_RENEGING,
@@ -47,7 +48,6 @@ from ..beacon.builders import (
 )
 from ..beacon.validator import Validator, ValidatorRegistry
 from ..chain.validation import validate_header
-from ..perf.parallel import warm_builder_caches
 from ..types import Wei
 from .auction import MODE_FALLBACK, MODE_LOCAL, SlotAuction, SlotOutcome
 from .builder import BlockBuilder, BuilderSubmission
@@ -118,8 +118,24 @@ class EnshrinedPBSAuction(SlotAuction):
         """Produce this slot's block through the enshrined two-phase slot.
 
         Every proposer participates (the scheme is enshrined, not opt-in);
-        local building remains only as the no-bids fallback.
+        local building remains only as the no-bids fallback.  The phase
+        timers split the slot as :meth:`SlotAuction.run` does: bid
+        collection is the builder phase, commit → PTC → reveal the
+        proposer phase.
         """
+        perf = ctx.perf
+        with perf.timer("builder_phase") if perf else nullcontext():
+            submissions = self._collect_bids(ctx, proposer, active_builders)
+        with perf.timer("proposer_phase") if perf else nullcontext():
+            return self._commit_and_reveal(ctx, proposer, submissions)
+
+    def _collect_bids(
+        self,
+        ctx: SlotContext,
+        proposer: Validator,
+        active_builders: list[str],
+    ) -> list[BuilderSubmission]:
+        """Signed bids from every active, registry-admitted builder."""
         ordered = [
             builder
             for builder in (self.builders.get(name) for name in active_builders)
@@ -129,13 +145,20 @@ class EnshrinedPBSAuction(SlotAuction):
                 or self.registry.is_active(builder.name, ctx.day)
             )
         ]
-        warm_builder_caches(ctx, ordered, proposer)
         submissions: list[BuilderSubmission] = []
         for builder in ordered:
             submission = builder.build(ctx, proposer)
             if submission is not None:
                 submissions.append(submission)
+        return submissions
 
+    def _commit_and_reveal(
+        self,
+        ctx: SlotContext,
+        proposer: Validator,
+        submissions: list[BuilderSubmission],
+    ) -> SlotOutcome:
+        """Phase 1 commit, phase 2 reveal and the PTC vote on it."""
         # Phase 1: the proposer commits to the highest signed bid.
         best = self._select(submissions)
         if best is None:

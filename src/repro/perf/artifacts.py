@@ -7,7 +7,7 @@ module caches that dataset on disk keyed by a content hash of the config,
 so benchmark sessions whose config is unchanged skip the simulation
 entirely (``benchmarks/conftest.py`` wires this up).
 
-Format 2 splits a columnar dataset across two files:
+Format 3 splits a dataset across two files:
 
 * ``study-<hash>.columns.npz`` — every numpy column of the dataset's
   :class:`~repro.datasets.columnar.BlockTable`, uncompressed
@@ -17,8 +17,11 @@ Format 2 splits a columnar dataset across two files:
   relay stores, sanctions, inventory) plus any object-dtype overflow
   columns, with the format stamp and config hash.
 
-Non-dataset payloads (plain dicts in tests, object-backed datasets) skip
-the column file and pickle whole, exactly like format 1 did.
+Each save writes one random token into both files.  The two files are
+published by two separate renames, so a crash between them, or a save
+from changed code under the same config hash, can leave columns and
+remainder from different saves side by side; a load whose tokens differ
+is a miss.
 
 Invalidation rule: the cache key is a hash of *every* config field, so any
 config change — including the seed — produces a new artifact file.  Code
@@ -46,8 +49,12 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 #: Bump when simulation semantics or the artifact layout change; old
-#: artifacts become unreadable.  2 = columnar .npz + pickle remainder.
-ARTIFACT_FORMAT = 2
+#: artifacts become unreadable.  3 = columnar .npz + pickle remainder,
+#: paired by a save token.
+ARTIFACT_FORMAT = 3
+
+#: The ``.npz`` member carrying the save token (never a BlockTable column).
+_TOKEN_MEMBER = "__save_token__"
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
 
@@ -86,51 +93,36 @@ def _columns_path(cache_dir: Path, config_hash: str) -> Path:
     return cache_dir / f"study-{config_hash}.columns.npz"
 
 
-def _columnar_table(dataset: Any):
-    """The dataset's BlockTable when it is columnar-backed, else None."""
-    from ..datasets.columnar import LazyBlockList
-
-    blocks = getattr(dataset, "blocks", None)
-    if isinstance(blocks, LazyBlockList):
-        return blocks.table
-    return None
-
-
 def save_study_artifact(
     config: Any, dataset: Any, cache_dir: Path | None = None
 ) -> Path:
     """Persist ``dataset`` under the config's content hash; returns the path.
 
-    Columnar datasets write their numpy columns to a sibling ``.npz`` so
-    loads can memory-map them; everything else (and non-dataset payloads)
-    is pickled whole.
+    The dataset's numpy columns go to a sibling ``.npz`` so loads can
+    memory-map them; the rest is pickled.
     """
     cache_dir = cache_dir or default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config_content_hash(config)
     path = _artifact_path(cache_dir, config_hash)
+    token = os.urandom(16).hex()
+
+    plain, objects = dataset.table.to_arrays()
+    columns_path = _columns_path(cache_dir, config_hash)
+    tmp_columns = columns_path.with_suffix(".tmp")
+    with open(tmp_columns, "wb") as handle:
+        np.savez(handle, **plain, **{_TOKEN_MEMBER: np.array(token)})
+    os.replace(tmp_columns, columns_path)
+    # The remainder pickles with the blocks stripped: the columns file
+    # carries them.  Object-dtype overflow columns (wei values beyond
+    # int64) cannot be mmapped and ride along in the pickle.
     payload: dict[str, Any] = {
         "format": ARTIFACT_FORMAT,
         "config_hash": config_hash,
-        "columnar": False,
-        "dataset": dataset,
+        "token": token,
+        "dataset": dataclasses.replace(dataset, blocks=[]),
+        "object_columns": objects,
     }
-
-    table = _columnar_table(dataset)
-    if table is not None:
-        plain, objects = table.to_arrays()
-        columns_path = _columns_path(cache_dir, config_hash)
-        tmp_columns = columns_path.with_suffix(".tmp")
-        with open(tmp_columns, "wb") as handle:
-            np.savez(handle, **plain)
-        os.replace(tmp_columns, columns_path)
-        # The remainder pickles with the blocks stripped: the columns file
-        # carries them.  Object-dtype overflow columns (wei values beyond
-        # int64) cannot be mmapped and ride along in the pickle.
-        remainder = dataclasses.replace(dataset, blocks=[])
-        payload.update(
-            columnar=True, dataset=remainder, object_columns=objects
-        )
 
     tmp_path = path.with_suffix(".tmp")
     with open(tmp_path, "wb") as handle:
@@ -158,13 +150,11 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
         return None
     if payload.get("config_hash") != config_hash:
         return None
-    dataset = payload.get("dataset")
-    if not payload.get("columnar"):
-        return dataset
     try:
         return _attach_columns(
-            dataset,
+            payload["dataset"],
             _columns_path(cache_dir, config_hash),
+            payload["token"],
             payload.get("object_columns") or {},
         )
     except (OSError, zipfile.BadZipFile, ValueError, KeyError) as error:
@@ -174,14 +164,21 @@ def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
         return None
 
 
-def _attach_columns(dataset: Any, columns_path: Path, objects: dict) -> Any:
-    """Rehydrate a columnar dataset from its mmapped column file."""
+def _attach_columns(
+    dataset: Any, columns_path: Path, token: str, objects: dict
+) -> Any:
+    """Rehydrate a dataset from its mmapped column file.
+
+    Raises ``ValueError`` when the column file was written by a different
+    save than the remainder.
+    """
     from ..datasets.columnar import BlockTable, LazyBlockList
 
     plain = mmap_npz_columns(columns_path)
-    table = BlockTable.from_arrays(plain, objects)
-    dataset.blocks = LazyBlockList(table)
-    dataset._table = table
+    stored = plain.pop(_TOKEN_MEMBER, None)
+    if stored is None or str(stored) != token:
+        raise ValueError("columns and remainder come from different saves")
+    dataset.blocks = LazyBlockList(BlockTable.from_arrays(plain, objects))
     return dataset
 
 

@@ -1,7 +1,6 @@
 """Differential replay: one seeded scenario, every perf configuration.
 
-The simulator's performance knobs (shared execution cache, parallel
-cache-warming workers, lazy protocol forks, the engine fast path, and
+The simulator's performance knobs (the shared execution cache and
 process-sharded epoch segments) promise to never change simulated
 outcomes.  This module turns that promise into a reusable matrix: the
 same seeded config (optionally perturbed by scenario faults) is re-run
@@ -12,8 +11,8 @@ cold save followed by a warm load must round-trip the dataset digest
 exactly.
 
 Cases carry a *digest group*: all cases in a group must agree with each
-other.  The ``default`` group covers the legacy unsegmented run under
-every in-process knob; the ``sharded`` group covers the epoch-segment
+other.  The ``default`` group covers the unsegmented run with the exec
+cache on and off; the ``sharded`` group covers the epoch-segment
 plan under every process-worker count (``shard_workers`` ∈ {1, 2, 4} ×
 exec-cache on/off).  Segmentation legitimately re-derives per-segment
 RNG streams, so the two groups describe two (each internally
@@ -28,7 +27,6 @@ from pathlib import Path
 from typing import Any
 
 from ..datasets.collector import collect_study_dataset
-from ..datasets.columnar import LazyBlockList
 from ..errors import ConformanceError
 from ..perf.artifacts import load_study_artifact, save_study_artifact
 from ..perf.sharding import run_sharded
@@ -53,30 +51,10 @@ class ReplayCase:
     group: str = GROUP_DEFAULT
 
 
-#: The shipped matrix: exec-cache on/off x build workers 1/4, plus the
-#: all-optimizations-off baseline paths.
+#: The shipped matrix: the exec cache on (reference) and off.
 DEFAULT_CASES: tuple[ReplayCase, ...] = (
     ReplayCase(name="reference"),
     ReplayCase(name="exec-cache-off", overrides=(("enable_exec_cache", False),)),
-    ReplayCase(name="workers-4", overrides=(("build_workers", 4),)),
-    ReplayCase(
-        name="exec-cache-off-workers-4",
-        overrides=(("enable_exec_cache", False), ("build_workers", 4)),
-    ),
-    ReplayCase(
-        name="baseline-paths",
-        overrides=(
-            ("enable_exec_cache", False),
-            ("eager_protocol_forks", True),
-            ("engine_fast_path", False),
-        ),
-    ),
-    # The columnar dataset backend must be a pure storage change: the
-    # object-backed collection path has to produce a bit-identical
-    # dataset digest, so it sits in the same digest group.
-    ReplayCase(
-        name="columnar-off", overrides=(("dataset_backend", "object"),)
-    ),
 )
 
 
@@ -114,11 +92,6 @@ def sharded_cases(segment_days: int) -> tuple[ReplayCase, ...]:
             overrides=(seg, ("shard_workers", 4), ("enable_exec_cache", False)),
             group=GROUP_SHARDED,
         ),
-        ReplayCase(
-            name="sharded-columnar-off",
-            overrides=(seg, ("dataset_backend", "object")),
-            group=GROUP_SHARDED,
-        ),
     )
 
 
@@ -127,21 +100,15 @@ def regime_cases(segment_days: int) -> tuple[ReplayCase, ...]:
 
     Each regime is its own digest group — the three regimes simulate
     genuinely different protocols — and within a group the sharded
-    worker count {1, 2, 4} must never matter.  Both ``regime`` and the
-    legacy ``use_enshrined_pbs`` alias are overridden together so the
-    cases mean the same thing whatever the base config was normalised
-    to.  (The ``mev_boost`` regime is the base matrix above.)
+    worker count {1, 2, 4} must never matter.  (The ``mev_boost`` regime
+    is the base matrix above.)
     """
     if segment_days <= 0:
         raise ConformanceError("regime cases need segment_days > 0")
     seg = ("segment_days", segment_days)
     cases: list[ReplayCase] = []
     for regime in ("epbs", "local"):
-        base = (
-            seg,
-            ("regime", regime),
-            ("use_enshrined_pbs", regime == "epbs"),
-        )
+        base = (seg, ("regime", regime))
         group = f"regime-{regime}"
         for workers in (1, 2, 4):
             cases.append(
@@ -173,10 +140,7 @@ class ReplayReport:
     faults: tuple[FaultSpec, ...] = ()
     #: Dataset digest after a cold artifact save + warm load round-trip,
     #: per digest group (empty when no artifact directory was provided or
-    #: faults are active).  Columnar-backed datasets round-trip through
-    #: the ``.npz``-column artifact under the plain group key; object-
-    #: backed ones exercise the pickle-whole path under
-    #: ``"<group>:pickle"``.  Every key must match its group's reference
+    #: faults are active).  Every entry must match its group's reference
     #: digest.
     artifact_roundtrip_digests: dict[str, str] = field(default_factory=dict)
 
@@ -208,14 +172,12 @@ class ReplayReport:
                         f"case {result.case.name!r} dataset digest diverged "
                         f"from {reference.case.name!r} (group {group!r})"
                     )
-            for key, roundtrip in self.artifact_roundtrip_digests.items():
-                if key.split(":", 1)[0] != group:
-                    continue
-                if roundtrip != reference.dataset_digest:
-                    problems.append(
-                        f"artifact cache round-trip {key!r} changed the "
-                        f"dataset digest (group {group!r})"
-                    )
+            roundtrip = self.artifact_roundtrip_digests.get(group)
+            if roundtrip is not None and roundtrip != reference.dataset_digest:
+                problems.append(
+                    f"artifact cache round-trip changed the dataset digest "
+                    f"(group {group!r})"
+                )
         for result in self.results:
             if result.oracle_violations:
                 problems.append(
@@ -302,16 +264,12 @@ def run_replay_matrix(
                 oracle_violations=violations,
             )
         )
-        # Round-trip the first case of every (group, storage format)
-        # combination: columnar datasets exercise the mmapped .npz column
-        # path, object-backed ones the pickle-whole path.
-        columnar_backed = isinstance(dataset.blocks, LazyBlockList)
-        key = case.group if columnar_backed else f"{case.group}:pickle"
-        if key not in seen_groups and artifact_dir is not None and not faults:
-            seen_groups.add(key)
+        group = case.group
+        if group not in seen_groups and artifact_dir is not None and not faults:
+            seen_groups.add(group)
             save_study_artifact(case_config, dataset, cache_dir=artifact_dir)
             reloaded = load_study_artifact(case_config, cache_dir=artifact_dir)
-            roundtrips[key] = (
+            roundtrips[group] = (
                 reloaded.content_digest() if reloaded is not None else "<miss>"
             )
     return ReplayReport(

@@ -1,17 +1,22 @@
-"""Golden test: every analysis function agrees across dataset backends.
+"""Golden tests: the vectorized analyses against two independent references.
 
-The same seeded world is collected twice — once through the columnar
-``BlockTable`` builder (the default) and once through the per-object
-path (``dataset_backend="object"``) — and every public analysis function
-must return *identical* results on both.  Identical, not approximately
-equal: both backends feed the same vectorized code through
-``dataset.table``, and the columnar encoding is lossless, so any drift
-is a real defect in the encoding or the accessors.
+1. Both ways into a :class:`~repro.datasets.columnar.BlockTable` agree.
+   A seeded world's collected dataset (columns appended straight from
+   the chain) and the same rows re-entered as ``BlockObservation``
+   objects (a hand-built dataset, converted by
+   ``BlockTable.from_observations``) must give *identical* results from
+   every public analysis function.  Identical, not approximately equal:
+   the columnar encoding is lossless, so any drift is a real defect in
+   the encoding or the accessors.
+2. The report pipeline equals the pinned per-object loops in
+   ``benchmarks/bench_analysis_legacy.py`` on the collected dataset.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,15 +37,17 @@ from repro.simulation.world import build_world
 
 
 @pytest.fixture(scope="module")
-def backend_pair():
+def collected():
     config = small_test_config(num_days=5, blocks_per_day=8)
-    columnar = collect_study_dataset(build_world(config))
-    object_backed = collect_study_dataset(
-        build_world(config.with_overrides(dataset_backend="object"))
-    )
-    assert isinstance(columnar.blocks, LazyBlockList)
-    assert isinstance(object_backed.blocks, list)
-    return columnar, object_backed
+    return collect_study_dataset(build_world(config))
+
+
+@pytest.fixture(scope="module")
+def backend_pair(collected):
+    rebuilt = dataclasses.replace(collected, blocks=list(collected.blocks))
+    assert isinstance(rebuilt.blocks, LazyBlockList)
+    assert rebuilt.table is not collected.table
+    return collected, rebuilt
 
 
 def _comparable(value):
@@ -104,7 +111,7 @@ ANALYSES = {
 
 def _outcome(run, dataset):
     """Result of ``run`` — or its error, which must also match across
-    backends (e.g. graphs too sparse to analyze raise AnalysisError)."""
+    tables (e.g. graphs too sparse to analyze raise AnalysisError)."""
     from repro.errors import AnalysisError
 
     try:
@@ -132,3 +139,16 @@ def test_cluster_blocks_match_backends(backend_pair):
         for cluster in builders.cluster_builders(object_backed)
     ]
     assert by_columnar == by_object
+
+
+def test_report_pipeline_matches_legacy_oracle(collected):
+    """Every report figure equals the pinned per-object reference loops."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+    try:
+        from bench_analysis_legacy import (
+            run_legacy_report_pipeline,
+            run_report_pipeline,
+        )
+    finally:
+        sys.path.pop(0)
+    assert run_report_pipeline(collected) == run_legacy_report_pipeline(collected)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 
 from hypothesis import given, settings
@@ -169,11 +170,13 @@ class TestDatesCache:
         dataset = collect_study_dataset(build_world(config))
         assert isinstance(dataset.blocks, LazyBlockList)
 
-    def test_object_backend_collects_plain_lists(self):
-        config = small_test_config(
-            num_days=2, blocks_per_day=4, dataset_backend="object"
-        )
+    def test_hand_built_list_becomes_a_table(self):
+        config = small_test_config(num_days=2, blocks_per_day=4)
         from repro.simulation.world import build_world
 
-        dataset = collect_study_dataset(build_world(config))
-        assert isinstance(dataset.blocks, list)
+        collected = collect_study_dataset(build_world(config))
+        rows = list(collected.blocks)
+        rebuilt = dataclasses.replace(collected, blocks=rows)
+        assert isinstance(rebuilt.blocks, LazyBlockList)
+        assert list(rebuilt.blocks) == rows
+        assert rebuilt.content_digest() == collected.content_digest()

@@ -3,20 +3,65 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime
 
+from repro.datasets.collector import StudyDataset
+from repro.datasets.records import BlockObservation, DatasetInventory
+from repro.mev.labels import MevDataset
 from repro.perf import artifacts
 from repro.perf.artifacts import (
     config_content_hash,
     load_study_artifact,
     save_study_artifact,
 )
+from repro.sanctions.ofac import SanctionsList
 from repro.simulation.config import SimulationConfig
+from repro.types import derive_address, derive_hash
 
 
 def _config(**overrides) -> SimulationConfig:
     base = {"seed": 7, "num_days": 3, "blocks_per_day": 4}
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+def _dataset(*numbers: int) -> StudyDataset:
+    """A hand-built dataset with one observation per block number."""
+    blocks = [
+        BlockObservation(
+            number=number,
+            block_hash=derive_hash("artifact", number),
+            slot=number,
+            date=datetime.date(2022, 10, 1),
+            proposer_index=0,
+            proposer_entity="Lido",
+            proposer_fee_recipient=derive_address("artifact", "proposer"),
+            fee_recipient=derive_address("artifact", "builder"),
+            extra_data="",
+            gas_used=15_000_000,
+            gas_limit=30_000_000,
+            base_fee_per_gas=10,
+            burned_wei=100,
+            priority_fees_wei=50 + number,
+            direct_transfers_wei=5,
+            tx_count=10,
+            private_tx_count=1,
+            builder_payment_wei=7,
+            claimed_by_relay={"Flashbots": 7},
+        )
+        for number in numbers
+    ]
+    return StudyDataset(
+        blocks=blocks,
+        mev=MevDataset(),
+        relays={},
+        sanctions=SanctionsList(),
+        inventory=DatasetInventory(
+            blocks=len(blocks), transactions=0, logs=0, traces=0,
+            mev_labels_by_source={}, mev_labels_union=0,
+            mempool_arrival_times=0, relay_data_entries=0, ofac_addresses=0,
+        ),
+    )
 
 
 class TestConfigHash:
@@ -26,33 +71,44 @@ class TestConfigHash:
     def test_sensitive_to_every_field(self):
         base = config_content_hash(_config())
         assert config_content_hash(_config(seed=8)) != base
-        assert config_content_hash(_config(build_workers=4)) != base
+        assert config_content_hash(_config(enable_exec_cache=False)) != base
         changed = dataclasses.replace(_config(), num_days=5)
         assert config_content_hash(changed) != base
 
 
 class TestRoundTrip:
     def test_save_then_load(self, tmp_path):
-        dataset = {"daily": [1, 2, 3], "label": "fake-study"}
+        dataset = _dataset(1, 2, 3)
         path = save_study_artifact(_config(), dataset, cache_dir=tmp_path)
         assert path.exists()
-        assert load_study_artifact(_config(), cache_dir=tmp_path) == dataset
+        loaded = load_study_artifact(_config(), cache_dir=tmp_path)
+        assert loaded.content_digest() == dataset.content_digest()
 
     def test_wrong_config_misses(self, tmp_path):
-        save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         assert load_study_artifact(_config(seed=8), cache_dir=tmp_path) is None
 
     def test_empty_cache_misses(self, tmp_path):
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
 
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
-        path = save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         path.write_bytes(b"not a pickle")
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
 
     def test_format_bump_invalidates(self, tmp_path, monkeypatch):
-        save_study_artifact(_config(), {"x": 1}, cache_dir=tmp_path)
+        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         monkeypatch.setattr(
             artifacts, "ARTIFACT_FORMAT", artifacts.ARTIFACT_FORMAT + 1
         )
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+
+    def test_columns_from_another_save_are_a_miss(self, tmp_path, caplog):
+        """A remainder paired with another save's columns never loads."""
+        path = save_study_artifact(_config(), _dataset(1, 2), cache_dir=tmp_path)
+        first_remainder = path.read_bytes()
+        save_study_artifact(_config(), _dataset(3, 4, 5), cache_dir=tmp_path)
+        path.write_bytes(first_remainder)
+        with caplog.at_level("WARNING", logger=artifacts.__name__):
+            assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+        assert "different saves" in caplog.text

@@ -1,11 +1,12 @@
-"""Cross-process perf aggregation and worker-pool lifecycle."""
+"""Cross-process perf aggregation and the slot phase timers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.perf.metrics import PerfRegistry
-from repro.perf.parallel import BuildWorkerPool
+from repro.simulation.config import small_test_config
+from repro.simulation.world import build_world
 
 
 def _registry(timers: dict, counters: dict) -> PerfRegistry:
@@ -55,9 +56,9 @@ def test_merge_snapshot_tolerates_empty_payload():
     assert registry.count("blocks") == 1
 
 
-def test_build_worker_pool_context_manager_shuts_down():
-    with BuildWorkerPool(workers=2) as pool:
-        future = pool.executor().submit(divmod, 9, 4)
-        assert future.result() == (2, 1)
-    assert pool._executor is None
-    pool.shutdown()  # idempotent
+@pytest.mark.parametrize("regime", ["mev_boost", "epbs"])
+def test_builder_phase_timed_in_builder_regimes(regime):
+    """Both auctions split the slot into builder and proposer phases."""
+    world = build_world(small_test_config(regime=regime)).run()
+    assert world.perf.share("builder_phase", "slot_loop") > 0
+    assert world.perf.share("proposer_phase", "slot_loop") > 0

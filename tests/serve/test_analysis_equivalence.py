@@ -3,12 +3,15 @@
 The service must be a transparent window onto the analysis layer: the
 JSON a client decodes equals what calling the analysis functions
 directly returns — float-for-float (JSON shortest-repr round-trips
-doubles exactly), for both dataset backends — and the two backends
-serve byte-identical bodies.
+doubles exactly).  The ``object`` case is the same rows re-entered as
+``BlockObservation`` objects (a hand-built dataset, whose table
+``BlockTable.from_observations`` fills); it must serve bodies
+byte-identical to the collected one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -35,9 +38,7 @@ ANALYSIS_PATHS = ["/analysis/hhi", "/analysis/value_split", "/analysis/censorshi
 def services():
     config = small_test_config(num_days=5, blocks_per_day=8)
     columnar = collect_study_dataset(build_world(config))
-    object_backed = collect_study_dataset(
-        build_world(config.with_overrides(dataset_backend="object"))
-    )
+    object_backed = dataclasses.replace(columnar, blocks=list(columnar.blocks))
     return {
         "columnar": (columnar, QueryService(columnar)),
         "object": (object_backed, QueryService(object_backed)),

@@ -3,13 +3,14 @@
 The offsets+blob columns (:class:`repro.serve.schema.WireColumn`) must
 make every response *faster*, never *different*: for any request, the
 cached path's bytes equal what the live per-request encoders produce —
-on the hand-built golden dataset, on both real dataset backends
-(columnar and object), and in a forked child sharing the parent's blobs
+on the hand-built golden dataset, on a collected dataset and its twin
+rebuilt from observation objects, and in a forked child sharing the parent's blobs
 copy-on-write (the multi-worker serving configuration).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -113,11 +114,12 @@ def backend_datasets():
     from repro.simulation.world import build_world
 
     config = small_test_config(num_days=4, blocks_per_day=6)
+    collected = collect_study_dataset(build_world(config))
+    # "object": the same rows re-entered as BlockObservation objects, so
+    # BlockTable.from_observations fills the table instead of collection.
     return {
-        "columnar": collect_study_dataset(build_world(config)),
-        "object": collect_study_dataset(
-            build_world(config.with_overrides(dataset_backend="object"))
-        ),
+        "columnar": collected,
+        "object": dataclasses.replace(collected, blocks=list(collected.blocks)),
     }
 
 

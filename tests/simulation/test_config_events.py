@@ -37,6 +37,9 @@ class TestConfig:
             ("missed_slot_rate", 1.5),
             ("swap_tx_share", -0.1),
             ("sanctioned_tx_rate", 2.0),
+            # Single-value constants kept for callers that still pass them.
+            ("build_workers", 2),
+            ("dataset_backend", "object"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
