@@ -7,10 +7,10 @@ Measures, in one process and therefore one environment:
 2. **Optimized warm** — the steady-state benchmark-session cost: the
    collected study dataset loaded from the persistent artifact cache
    (:mod:`repro.perf.artifacts`), which is how ``benchmarks/conftest.py``
-   obtains the world's dataset on every session after the first.
-3. **Columnar economics** — the mmapped artifact load and the report
-   pipeline, vectorized vs the pinned per-object reference loops, both
-   on the loaded dataset.
+   obtains the world's dataset on every session after the first.  The
+   figure is the median of ``WARM_LOADS`` loads after one untimed load.
+3. **Columnar economics** — the report pipeline, vectorized vs the
+   pinned per-object reference loops, on the loaded dataset.
 4. **Sharded scaling curve** — the same scenario partitioned into epoch
    segments (``segment_days``) and executed across ``shard_workers``
    processes (:mod:`repro.perf.sharding`), once per worker count in
@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -64,6 +65,9 @@ from repro.simulation import SimulationConfig, build_world
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _DEFAULT_OUT = _REPO_ROOT / "BENCH_perf.json"
+
+#: Timed warm artifact loads; the headline uses their median.
+WARM_LOADS = 5
 
 
 def recorded_seed_baseline() -> dict:
@@ -159,30 +163,18 @@ def run_shard_curve(
     }
 
 
-def run_columnar_benchmark(
-    config: SimulationConfig,
-    cache_dir: Path | None,
-    collect_secs: float,
-) -> dict:
-    """Columnar economics: the mmapped artifact load and the
-    analysis-pipeline speedup against the pinned per-object reference.
+def run_columnar_benchmark(loaded, collect_secs: float) -> dict:
+    """Columnar economics: the analysis-pipeline speedup against the
+    pinned per-object reference.
 
-    The saved artifact (``.npz`` columns + pickle remainder) is timed
-    through warm loads.  The full report pipeline then runs on the loaded
-    dataset twice: vectorized over the mmapped columns, and through the
-    per-object loops frozen in ``bench_analysis_legacy`` over its rows.
+    The full report pipeline runs on the artifact-loaded dataset twice:
+    vectorized over the mmapped columns, and through the per-object loops
+    frozen in ``bench_analysis_legacy`` over its rows.
     """
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from bench_analysis_legacy import (
         run_legacy_report_pipeline,
         run_report_pipeline,
-    )
-
-    loaded = load_study_artifact(config, cache_dir)
-    if loaded is None:
-        raise RuntimeError("columnar benchmark artifact failed to round-trip")
-    mmap_secs = min(
-        _timed(load_study_artifact, config, cache_dir) for _ in range(3)
     )
 
     # Warm both pipelines once (first-touch page faults, lazy imports),
@@ -203,14 +195,10 @@ def run_columnar_benchmark(
 
     return {
         "description": (
-            "columnar BlockTable: mmap-backed .npz artifact load, and the "
-            "report pipeline (figs 3-18 + table 4) vectorized vs the "
-            "pinned per-object reference"
+            "columnar BlockTable: the report pipeline (figs 3-18 + "
+            "table 4) vectorized vs the pinned per-object reference"
         ),
         "collection_seconds": round(collect_secs, 3),
-        "artifact": {
-            "columnar_warm_load_seconds": round(mmap_secs, 4),
-        },
         "analysis_pipeline": {
             "vectorized_seconds": round(vectorized_secs, 4),
             "legacy_seconds": round(legacy_secs, 4),
@@ -244,11 +232,15 @@ def run_benchmark(
     dataset = collect_study_dataset(optimized_world)
     collect_secs = time.perf_counter() - collect_start
     save_study_artifact(optimized_cfg, dataset, cache_dir)
-    warm_start = time.perf_counter()
+    # The untimed first load checks the round trip and pages the file in,
+    # so the median measures the steady state a session sees.
     loaded = load_study_artifact(optimized_cfg, cache_dir)
-    warm_secs = time.perf_counter() - warm_start
     if loaded is None:
         raise RuntimeError("artifact cache failed to round-trip the dataset")
+    warm_secs = statistics.median(
+        _timed(load_study_artifact, optimized_cfg, cache_dir)
+        for _ in range(WARM_LOADS)
+    )
 
     blocks = sum(1 for _ in optimized_world.chain)
     perf = optimized_world.perf
@@ -286,7 +278,8 @@ def run_benchmark(
             "description": (
                 "benchmark-session world acquisition after the first "
                 "run: the collected dataset loads from the artifact "
-                "cache instead of re-simulating"
+                f"cache instead of re-simulating; median of {WARM_LOADS} "
+                "loads after one untimed load"
             ),
             "seconds": round(warm_secs, 4),
             "blocks_per_second": round(blocks / warm_secs, 2)
@@ -300,9 +293,7 @@ def run_benchmark(
             round(cold_speedup, 2) if cold_speedup is not None else None
         ),
     }
-    payload["columnar"] = run_columnar_benchmark(
-        optimized_cfg, cache_dir, collect_secs
-    )
+    payload["columnar"] = run_columnar_benchmark(loaded, collect_secs)
     if shard_curve and segment_days > 0:
         payload["sharded"] = run_shard_curve(
             optimized_cfg, segment_days, shard_curve
@@ -317,7 +308,7 @@ def test_perf_world_smoke(tmp_path):
     """Tiny-scale end-to-end run: artifact round-trips, pipelines agree."""
     payload = run_benchmark(num_days=2, blocks_per_day=6, cache_dir=tmp_path)
     assert payload["scale"]["blocks"] > 0
-    assert payload["optimized_warm"]["seconds"] >= 0.0
+    assert payload["optimized_warm"]["seconds"] > 0.0
     # The recorded full-scale baseline is carried forward, never compared
     # against a run at another scale.
     assert payload["seed_baseline"] == recorded_seed_baseline()
@@ -325,7 +316,7 @@ def test_perf_world_smoke(tmp_path):
     assert payload["speedup_vs_seed_baseline"] is None
     assert payload["cold_sim_speedup"] is None
     columnar = payload["columnar"]
-    assert columnar["artifact"]["columnar_warm_load_seconds"] >= 0.0
+    assert "artifact" not in columnar
     assert columnar["analysis_pipeline"]["vectorized_seconds"] >= 0.0
 
 

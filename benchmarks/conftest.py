@@ -4,11 +4,12 @@ The full-study world (198 days from the merge through 2023-03-31) is built
 once per session; every benchmark then times its analysis over the same
 collected dataset and prints the table/figure it reproduces.
 
-The collected dataset is additionally cached on disk keyed by a content
-hash of ``BENCHMARK_CONFIG`` (see :mod:`repro.perf.artifacts`), so
-benchmark sessions with an unchanged config skip the multi-minute world
-build entirely.  Benches that need the live ``study_world`` (not just the
-dataset) still trigger a build on demand.
+The collected dataset is additionally cached on disk as one file keyed by
+a content hash of ``BENCHMARK_CONFIG`` (see :mod:`repro.perf.artifacts`).
+The file records a hash of the ``src/repro`` sources, so sessions with an
+unchanged config and unchanged code skip the multi-minute world build
+entirely, and any code edit rebuilds it once.  Benches that need the live
+``study_world`` (not just the dataset) still trigger a build on demand.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ sticks, mirroring EVM semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from ..errors import DefiError, ExecutionError, InsufficientBalanceError
 from ..types import Address, Gas, Hash, Wei
@@ -129,6 +129,43 @@ class BlockExecutionResult:
         """User-generated value of the block: priority fees + direct tips."""
         return self.priority_fees_wei + self.direct_transfers_wei
 
+    def add(self, tx: Transaction, outcome: TxOutcome) -> None:
+        """Append an executed transaction and fold in its totals."""
+        self.included.append(tx)
+        self.outcomes.append(outcome)
+        self.gas_used += outcome.receipt.gas_used
+        self.burned_wei += outcome.burned_wei
+        self.priority_fees_wei += outcome.priority_fee_wei
+        self.direct_transfers_wei += outcome.direct_tip_wei
+
+
+def pack_block(
+    transactions: Sequence[Transaction],
+    gas_limit: Gas,
+    execute: Callable[[Transaction, int], TxOutcome],
+) -> BlockExecutionResult:
+    """Execute an ordered transaction list under a block gas limit.
+
+    ``execute(tx, tx_index)`` runs one transaction against the block's
+    state.  Transactions that do not fit in the remaining gas, are
+    fee-ineligible, or whose sender cannot pay for gas are dropped
+    (recorded in ``result.dropped``) rather than aborting the block —
+    matching how a builder or local proposer assembles a block from a
+    candidate list.
+    """
+    result = BlockExecutionResult()
+    for tx in transactions:
+        if result.gas_used + tx.gas_limit > gas_limit:
+            result.dropped.append(tx.tx_hash)
+            continue
+        try:
+            outcome = execute(tx, len(result.included))
+        except (ExecutionError, InsufficientBalanceError):
+            result.dropped.append(tx.tx_hash)
+            continue
+        result.add(tx, outcome)
+    return result
+
 
 class ExecutionEngine:
     """Executes transactions and blocks against an execution context."""
@@ -229,36 +266,14 @@ class ExecutionEngine:
         fee_recipient: Address,
         gas_limit: Gas,
     ) -> BlockExecutionResult:
-        """Execute an ordered transaction list under a block gas limit.
-
-        Transactions that do not fit in the remaining gas, are fee-ineligible,
-        or whose sender cannot pay for gas are dropped (recorded in
-        ``result.dropped``) rather than aborting the block — matching how a
-        builder or local proposer assembles a block from a candidate list.
-        """
-        result = BlockExecutionResult()
-        for tx in transactions:
-            if result.gas_used + tx.gas_limit > gas_limit:
-                result.dropped.append(tx.tx_hash)
-                continue
-            try:
-                outcome = self.execute_transaction(
-                    tx,
-                    ctx,
-                    base_fee_per_gas,
-                    fee_recipient,
-                    tx_index=len(result.included),
-                )
-            except (ExecutionError, InsufficientBalanceError):
-                result.dropped.append(tx.tx_hash)
-                continue
-            result.included.append(tx)
-            result.outcomes.append(outcome)
-            result.gas_used += outcome.receipt.gas_used
-            result.burned_wei += outcome.burned_wei
-            result.priority_fees_wei += outcome.priority_fee_wei
-            result.direct_transfers_wei += outcome.direct_tip_wei
-        return result
+        """:func:`pack_block` over :meth:`execute_transaction`."""
+        return pack_block(
+            transactions,
+            gas_limit,
+            lambda tx, tx_index: self.execute_transaction(
+                tx, ctx, base_fee_per_gas, fee_recipient, tx_index=tx_index
+            ),
+        )
 
     # -- internals -------------------------------------------------------
 

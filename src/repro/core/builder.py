@@ -367,10 +367,8 @@ class BlockBuilder:
                 payment_tx = None
                 payment = 0
             else:
-                result.included.append(payment_tx)
-                result.outcomes.append(outcome)
-                result.gas_used += outcome.receipt.gas_used
-                result.burned_wei += outcome.burned_wei
+                # Zero priority fee, and a top-level transfer is no tip.
+                result.add(payment_tx, outcome)
         elif self.pays_via_proposer_recipient:
             # The proposer's address was the fee recipient all along.
             payment = block_value
@@ -471,10 +469,5 @@ class BlockBuilder:
             outcomes.append(outcome)
         bundle_fork.commit()
         for tx, outcome in zip(bundle.txs, outcomes):
-            result.included.append(tx)
-            result.outcomes.append(outcome)
-            result.gas_used += outcome.receipt.gas_used
-            result.burned_wei += outcome.burned_wei
-            result.priority_fees_wei += outcome.priority_fee_wei
-            result.direct_transfers_wei += outcome.direct_tip_wei
+            result.add(tx, outcome)
         return True

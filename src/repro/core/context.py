@@ -25,9 +25,9 @@ from ..chain.execution import (
     ExecutionContext,
     ExecutionEngine,
     TxOutcome,
+    pack_block,
 )
 from ..chain.transaction import Transaction, TransactionFactory
-from ..errors import ExecutionError, InsufficientBalanceError
 from ..mempool.pool import SharedMempool
 from ..mempool.private import PrivateOrderFlow
 from ..mev.bundles import Bundle
@@ -130,27 +130,11 @@ class SlotContext:
         fee_recipient: Address,
         gas_limit: int,
     ) -> BlockExecutionResult:
-        """Cache-aware mirror of ``engine.execute_block``."""
-        if self.exec_cache is None:
-            return self.engine.execute_block(
-                transactions, fork, self.base_fee, fee_recipient, gas_limit
-            )
-        result = BlockExecutionResult()
-        for tx in transactions:
-            if result.gas_used + tx.gas_limit > gas_limit:
-                result.dropped.append(tx.tx_hash)
-                continue
-            try:
-                outcome = self.execute_tx(
-                    tx, fork, fee_recipient, tx_index=len(result.included)
-                )
-            except (ExecutionError, InsufficientBalanceError):
-                result.dropped.append(tx.tx_hash)
-                continue
-            result.included.append(tx)
-            result.outcomes.append(outcome)
-            result.gas_used += outcome.receipt.gas_used
-            result.burned_wei += outcome.burned_wei
-            result.priority_fees_wei += outcome.priority_fee_wei
-            result.direct_transfers_wei += outcome.direct_tip_wei
-        return result
+        """:func:`~repro.chain.execution.pack_block` over :meth:`execute_tx`."""
+        return pack_block(
+            transactions,
+            gas_limit,
+            lambda tx, tx_index: self.execute_tx(
+                tx, fork, fee_recipient, tx_index=tx_index
+            ),
+        )

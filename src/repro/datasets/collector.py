@@ -77,42 +77,6 @@ class StudyDataset:
         """The columnar view of :attr:`blocks`."""
         return self.blocks.table
 
-    # Vectorized per-block accessors, mirroring the BlockObservation
-    # derived properties as column expressions (one element per block, in
-    # block order).  The analysis modules consume these.
-
-    @property
-    def is_pbs(self) -> np.ndarray:
-        return self.table.is_pbs
-
-    @property
-    def relay_claimed(self) -> np.ndarray:
-        return self.table.relay_claimed
-
-    @property
-    def has_pbs_payment(self) -> np.ndarray:
-        return self.table.has_pbs_payment
-
-    @property
-    def is_sanctioned(self) -> np.ndarray:
-        return self.table.is_sanctioned
-
-    @property
-    def block_value_wei(self) -> np.ndarray:
-        return self.table.block_value_wei
-
-    @property
-    def proposer_profit_wei(self) -> np.ndarray:
-        return self.table.proposer_profit_wei
-
-    @property
-    def builder_profit_wei(self) -> np.ndarray:
-        return self.table.builder_profit_wei
-
-    @property
-    def date_ordinals(self) -> np.ndarray:
-        return self.table.date_ordinal
-
     # -- row access ---------------------------------------------------------
 
     def block(self, number: int) -> BlockObservation:

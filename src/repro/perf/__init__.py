@@ -6,7 +6,7 @@ This package hosts the cross-cutting performance machinery:
   :class:`~repro.simulation.world.World` carries (``world.perf``).
 * :mod:`repro.perf.artifacts` — the persistent study-dataset artifact
   cache keyed by a :class:`~repro.simulation.config.SimulationConfig`
-  content hash.
+  content hash and a hash of the package sources.
 * :mod:`repro.perf.sharding` — process-sharded epoch-segment execution
   (``SimulationConfig.segment_days`` / ``shard_workers``) with a
   deterministic, worker-count-invariant merge.

@@ -1,39 +1,31 @@
-"""Persistent study-dataset artifacts keyed by a config content hash.
+"""Persistent study-dataset artifacts keyed by config and source hashes.
 
 Building and running a benchmark-scale world takes minutes; the collected
 :class:`~repro.datasets.collector.StudyDataset` it yields is a pure
-function of the :class:`~repro.simulation.config.SimulationConfig`.  This
-module caches that dataset on disk keyed by a content hash of the config,
-so benchmark sessions whose config is unchanged skip the simulation
-entirely (``benchmarks/conftest.py`` wires this up).
+function of the :class:`~repro.simulation.config.SimulationConfig` and of
+the code that simulated it.  This module caches that dataset on disk, so
+benchmark sessions, ``repro serve`` and the serving benchmark skip the
+simulation when neither changed (``benchmarks/conftest.py`` wires this up).
 
-Format 3 splits a dataset across two files:
+One config maps to one file, ``study-<config hash>.npz``, written
+uncompressed by ``np.savez``.  It holds every plain numpy column of the
+dataset's :class:`~repro.datasets.columnar.BlockTable`, loaded zero-copy by
+memory-mapping the archive, plus one ``uint8`` member with the pickled
+remainder: the dataset without its blocks (MEV labels, relay stores,
+sanctions, inventory), any object-dtype overflow columns, the config hash
+and a hash of the ``src/repro`` sources that built it.
 
-* ``study-<hash>.columns.npz`` — every numpy column of the dataset's
-  :class:`~repro.datasets.columnar.BlockTable`, uncompressed
-  (``np.savez``), loaded zero-copy by memory-mapping the archive and
-  pointing each array at its bytes inside the zip members;
-* ``study-<hash>.pkl`` — the pickled non-columnar remainder (MEV labels,
-  relay stores, sanctions, inventory) plus any object-dtype overflow
-  columns, with the format stamp and config hash.
-
-Each save writes one random token into both files.  The two files are
-published by two separate renames, so a crash between them, or a save
-from changed code under the same config hash, can leave columns and
-remainder from different saves side by side; a load whose tokens differ
-is a miss.
-
-Invalidation rule: the cache key is a hash of *every* config field, so any
-config change — including the seed — produces a new artifact file.  Code
-changes are guarded by ``ARTIFACT_FORMAT``: bump it whenever simulation
-semantics *or this file layout* change so stale artifacts from older code
-are ignored.  Delete the cache directory at any time; it will simply be
-rebuilt.
+A save writes a temp file and publishes it with one ``os.replace``, so a
+reader sees a whole old file or a whole new one.  A load whose stored
+source hash differs from the running code's is a miss; the next save
+overwrites the same file, so the cache holds one file per config.  Delete
+the cache directory at any time; it will simply be rebuilt.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -48,15 +40,12 @@ from typing import Any
 import numpy as np
 from numpy.lib import format as npy_format
 
-#: Bump when simulation semantics or the artifact layout change; old
-#: artifacts become unreadable.  3 = columnar .npz + pickle remainder,
-#: paired by a save token.
-ARTIFACT_FORMAT = 3
-
-#: The ``.npz`` member carrying the save token (never a BlockTable column).
-_TOKEN_MEMBER = "__save_token__"
+#: The ``.npz`` member carrying the pickled remainder (never a column).
+_REMAINDER_MEMBER = "__remainder__"
 
 _CACHE_DIR_ENV = "REPRO_ARTIFACT_CACHE"
+
+_SOURCE_ROOT = Path(__file__).resolve().parents[1]
 
 _LOG = logging.getLogger(__name__)
 
@@ -77,6 +66,22 @@ def config_content_hash(config: Any) -> str:
     return hashlib.sha256(encoded.encode()).hexdigest()[:32]
 
 
+@functools.cache
+def source_content_hash() -> str:
+    """A hex hash of every ``.py`` file under ``src/repro``, by path.
+
+    Computed once per process.  Any edit to the package, a comment
+    included, makes artifacts built before it a miss.
+    """
+    hasher = hashlib.sha256()
+    for path in sorted(_SOURCE_ROOT.rglob("*.py")):
+        hasher.update(path.relative_to(_SOURCE_ROOT).as_posix().encode())
+        hasher.update(b"\x00")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()[:32]
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_ARTIFACT_CACHE`` if set, else ``benchmarks/.artifact_cache``."""
     override = os.environ.get(_CACHE_DIR_ENV)
@@ -86,99 +91,67 @@ def default_cache_dir() -> Path:
 
 
 def _artifact_path(cache_dir: Path, config_hash: str) -> Path:
-    return cache_dir / f"study-{config_hash}.pkl"
-
-
-def _columns_path(cache_dir: Path, config_hash: str) -> Path:
-    return cache_dir / f"study-{config_hash}.columns.npz"
+    return cache_dir / f"study-{config_hash}.npz"
 
 
 def save_study_artifact(
     config: Any, dataset: Any, cache_dir: Path | None = None
 ) -> Path:
-    """Persist ``dataset`` under the config's content hash; returns the path.
-
-    The dataset's numpy columns go to a sibling ``.npz`` so loads can
-    memory-map them; the rest is pickled.
-    """
+    """Persist ``dataset`` under the config's content hash; returns the path."""
     cache_dir = cache_dir or default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config_content_hash(config)
     path = _artifact_path(cache_dir, config_hash)
-    token = os.urandom(16).hex()
 
     plain, objects = dataset.table.to_arrays()
-    columns_path = _columns_path(cache_dir, config_hash)
-    tmp_columns = columns_path.with_suffix(".tmp")
-    with open(tmp_columns, "wb") as handle:
-        np.savez(handle, **plain, **{_TOKEN_MEMBER: np.array(token)})
-    os.replace(tmp_columns, columns_path)
-    # The remainder pickles with the blocks stripped: the columns file
-    # carries them.  Object-dtype overflow columns (wei values beyond
-    # int64) cannot be mmapped and ride along in the pickle.
-    payload: dict[str, Any] = {
-        "format": ARTIFACT_FORMAT,
-        "config_hash": config_hash,
-        "token": token,
-        "dataset": dataclasses.replace(dataset, blocks=[]),
-        "object_columns": objects,
-    }
-
+    # The remainder pickles with the blocks stripped: the columns carry
+    # them.  Object-dtype overflow columns (wei values beyond int64)
+    # cannot be mmapped and ride along in the pickle.
+    remainder = pickle.dumps(
+        {
+            "config_hash": config_hash,
+            "source_hash": source_content_hash(),
+            "dataset": dataclasses.replace(dataset, blocks=[]),
+            "object_columns": objects,
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
     tmp_path = path.with_suffix(".tmp")
     with open(tmp_path, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        np.savez(
+            handle,
+            **plain,
+            **{_REMAINDER_MEMBER: np.frombuffer(remainder, dtype=np.uint8)},
+        )
     os.replace(tmp_path, path)  # atomic: concurrent readers never see halves
     return path
 
 
 def load_study_artifact(config: Any, cache_dir: Path | None = None) -> Any:
     """The cached dataset for ``config``, or None on miss/stale/corrupt."""
+    from ..datasets.columnar import BlockTable, LazyBlockList
+
     cache_dir = cache_dir or default_cache_dir()
     config_hash = config_content_hash(config)
     path = _artifact_path(cache_dir, config_hash)
     if not path.exists():
         return None
     try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError) as error:
+        plain = mmap_npz_columns(path)
+        payload = pickle.loads(plain.pop(_REMAINDER_MEMBER))
+        if payload["config_hash"] != config_hash:
+            raise ValueError("built for another config")
+        if payload["source_hash"] != source_content_hash():
+            raise ValueError("built by other source code")
+    except (
+        OSError, EOFError, KeyError, TypeError, ValueError,
+        pickle.UnpicklingError, zipfile.BadZipFile,
+    ) as error:
         _LOG.warning("discarding stale/corrupt study artifact %s: %s", path, error)
         return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("format") != ARTIFACT_FORMAT:
-        return None
-    if payload.get("config_hash") != config_hash:
-        return None
-    try:
-        return _attach_columns(
-            payload["dataset"],
-            _columns_path(cache_dir, config_hash),
-            payload["token"],
-            payload.get("object_columns") or {},
-        )
-    except (OSError, zipfile.BadZipFile, ValueError, KeyError) as error:
-        _LOG.warning(
-            "discarding stale/corrupt study artifact %s: %s", path, error
-        )
-        return None
-
-
-def _attach_columns(
-    dataset: Any, columns_path: Path, token: str, objects: dict
-) -> Any:
-    """Rehydrate a dataset from its mmapped column file.
-
-    Raises ``ValueError`` when the column file was written by a different
-    save than the remainder.
-    """
-    from ..datasets.columnar import BlockTable, LazyBlockList
-
-    plain = mmap_npz_columns(columns_path)
-    stored = plain.pop(_TOKEN_MEMBER, None)
-    if stored is None or str(stored) != token:
-        raise ValueError("columns and remainder come from different saves")
-    dataset.blocks = LazyBlockList(BlockTable.from_arrays(plain, objects))
+    dataset = payload["dataset"]
+    table = BlockTable.from_arrays(plain, payload["object_columns"])
+    dataset.blocks = LazyBlockList(table)
     return dataset
 
 

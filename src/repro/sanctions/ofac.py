@@ -69,9 +69,6 @@ class SanctionsList:
     def entries(self) -> list[SanctionedEntry]:
         return list(self._entries)
 
-    def all_addresses(self) -> frozenset[Address]:
-        return frozenset(self._by_address)
-
     def addresses_as_of(self, date: datetime.date) -> frozenset[Address]:
         """Addresses whose designation is effective on ``date`` (memoized)."""
         cached = self._addresses_as_of.get(date)

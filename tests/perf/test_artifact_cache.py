@@ -76,6 +76,13 @@ class TestConfigHash:
         assert config_content_hash(changed) != base
 
 
+def _assert_discarded(tmp_path, caplog) -> None:
+    """The artifact for ``_config()`` loads as a miss with the warning."""
+    with caplog.at_level("WARNING", logger=artifacts.__name__):
+        assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+    assert "discarding stale/corrupt study artifact" in caplog.text
+
+
 class TestRoundTrip:
     def test_save_then_load(self, tmp_path):
         dataset = _dataset(1, 2, 3)
@@ -84,6 +91,11 @@ class TestRoundTrip:
         loaded = load_study_artifact(_config(), cache_dir=tmp_path)
         assert loaded.content_digest() == dataset.content_digest()
 
+    def test_save_writes_one_file(self, tmp_path):
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
+        save_study_artifact(_config(), _dataset(2, 3), cache_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_wrong_config_misses(self, tmp_path):
         save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
         assert load_study_artifact(_config(seed=8), cache_dir=tmp_path) is None
@@ -91,24 +103,39 @@ class TestRoundTrip:
     def test_empty_cache_misses(self, tmp_path):
         assert load_study_artifact(_config(), cache_dir=tmp_path) is None
 
-    def test_corrupt_artifact_is_a_miss(self, tmp_path):
+    def test_corrupt_artifact_is_a_miss(self, tmp_path, caplog):
         path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
-        path.write_bytes(b"not a pickle")
-        assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+        path.write_bytes(b"not an archive")
+        _assert_discarded(tmp_path, caplog)
 
-    def test_format_bump_invalidates(self, tmp_path, monkeypatch):
-        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
-        monkeypatch.setattr(
-            artifacts, "ARTIFACT_FORMAT", artifacts.ARTIFACT_FORMAT + 1
-        )
-        assert load_study_artifact(_config(), cache_dir=tmp_path) is None
+    def test_empty_artifact_is_a_miss(self, tmp_path, caplog):
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
+        path.write_bytes(b"")
+        _assert_discarded(tmp_path, caplog)
 
-    def test_columns_from_another_save_are_a_miss(self, tmp_path, caplog):
-        """A remainder paired with another save's columns never loads."""
+    def test_truncated_artifact_is_a_miss(self, tmp_path, caplog):
         path = save_study_artifact(_config(), _dataset(1, 2), cache_dir=tmp_path)
-        first_remainder = path.read_bytes()
-        save_study_artifact(_config(), _dataset(3, 4, 5), cache_dir=tmp_path)
-        path.write_bytes(first_remainder)
-        with caplog.at_level("WARNING", logger=artifacts.__name__):
-            assert load_study_artifact(_config(), cache_dir=tmp_path) is None
-        assert "different saves" in caplog.text
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        _assert_discarded(tmp_path, caplog)
+
+    def test_artifact_of_another_config_is_a_miss(self, tmp_path, caplog):
+        """A file saved for another config, found under this config's name."""
+        other = save_study_artifact(_config(seed=8), _dataset(1), cache_dir=tmp_path)
+        other.rename(other.with_name(f"study-{config_content_hash(_config())}.npz"))
+        _assert_discarded(tmp_path, caplog)
+        assert "another config" in caplog.text
+
+    def test_source_change_invalidates(self, tmp_path, caplog, monkeypatch):
+        save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
+        monkeypatch.setattr(artifacts, "source_content_hash", lambda: "edited")
+        _assert_discarded(tmp_path, caplog)
+        assert "other source code" in caplog.text
+
+    def test_save_after_source_change_overwrites(self, tmp_path, monkeypatch):
+        path = save_study_artifact(_config(), _dataset(1), cache_dir=tmp_path)
+        monkeypatch.setattr(artifacts, "source_content_hash", lambda: "edited")
+        assert save_study_artifact(_config(), _dataset(2), cache_dir=tmp_path) == path
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = load_study_artifact(_config(), cache_dir=tmp_path)
+        assert loaded.content_digest() == _dataset(2).content_digest()
